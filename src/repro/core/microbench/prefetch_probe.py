@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from repro.common.constants import CACHELINE_SIZE, CACHELINES_PER_XPLINE, XPLINE_SIZE
 from repro.common.rng import DeterministicRng
+from repro.core.redirection import RedirectionBuffer, redirect_block
 from repro.system.machine import Core, Machine
 
 
@@ -40,7 +41,7 @@ class PrefetchProbeResult:
     visits: int
 
 
-def _visit_block(core: Core, block_base: int, repeats: int) -> None:
+def visit_block(core: Core, block_base: int, repeats: int) -> None:
     """Read all 4 cachelines of the block ``repeats`` times, then flush."""
     for _ in range(repeats):
         for slot in range(CACHELINES_PER_XPLINE):
@@ -50,14 +51,14 @@ def _visit_block(core: Core, block_base: int, repeats: int) -> None:
     core.sfence()
 
 
-def _visit_block_redirected(core: Core, block_base: int, staging: int, repeats: int) -> None:
+def visit_block_redirected(
+    core: Core, block_base: int, staging: RedirectionBuffer, repeats: int
+) -> None:
     """Algorithm 2: stream-copy the XPLine to DRAM, then work there."""
-    for slot in range(CACHELINES_PER_XPLINE):
-        core.stream_load(block_base + slot * CACHELINE_SIZE, CACHELINE_SIZE)
-        core.store(staging + slot * CACHELINE_SIZE, CACHELINE_SIZE)
+    redirect_block(core, block_base, staging)
     for _ in range(repeats):
         for slot in range(CACHELINES_PER_XPLINE):
-            core.load(staging + slot * CACHELINE_SIZE, 8)
+            core.load(staging.line_addr(slot), 8)
 
 
 def run_prefetch_probe(
@@ -82,15 +83,15 @@ def run_prefetch_probe(
     base = machine.region_spec(region).base
     n_blocks = max(1, wss // XPLINE_SIZE)
     rng = DeterministicRng(machine.config.seed).fork(17)
-    staging = machine.region_spec("dram").base  # one XPLine of DRAM scratch
+    staging = RedirectionBuffer(machine.region_spec("dram").base)  # one XPLine of DRAM
 
     warmup = int(visits * warmup_fraction)
     for _ in range(warmup):
         block = base + rng.choice_index(n_blocks) * XPLINE_SIZE
         if redirect:
-            _visit_block_redirected(core, block, staging, repeats)
+            visit_block_redirected(core, block, staging, repeats)
         else:
-            _visit_block(core, block, repeats)
+            visit_block(core, block, repeats)
 
     counters = machine.counters(region)
     snapshot = counters.snapshot()
@@ -98,9 +99,9 @@ def run_prefetch_probe(
     for _ in range(measured):
         block = base + rng.choice_index(n_blocks) * XPLINE_SIZE
         if redirect:
-            _visit_block_redirected(core, block, staging, repeats)
+            visit_block_redirected(core, block, staging, repeats)
         else:
-            _visit_block(core, block, repeats)
+            visit_block(core, block, repeats)
     delta = machine.counters(region).delta(snapshot)
 
     demanded = measured * XPLINE_SIZE  # 4 × 64 B of unique data per visit

@@ -2,8 +2,8 @@
 
 Every experiment module produces an :class:`ExperimentReport` — named
 series over a shared x-axis — that renders as the table/rows the
-corresponding paper figure plots, and that benchmarks assert shape
-properties against.
+corresponding paper figure plots, and that the claims of
+:mod:`repro.validate` check shape properties against.
 """
 
 from __future__ import annotations

@@ -208,13 +208,6 @@ def _execute_subtask(experiment: str, index: int, generation: int, profile: str)
     return result, time.perf_counter() - started
 
 
-def _finish(request: RunRequest, spec: ExperimentSpec, shard_results: list,
-            busy: float) -> tuple[list[ExperimentReport], float]:
-    """Merge shard results back into full reports."""
-    reports = spec.merge(request.generation, request.profile, shard_results)
-    return reports, busy
-
-
 @dataclass
 class _Unit:
     """One schedulable work unit: a whole experiment or one shard."""
@@ -242,6 +235,14 @@ class _Unit:
             "attempts": self.attempts,
             "reason": self.error,
         }
+
+    def failure_summary(self) -> str:
+        """The quarantine reason as reported on the request's RunResult."""
+        return (
+            (f"shard {self.shard}: " if self.shard is not None else "")
+            + f"{self.error} after {self.attempts} attempt"
+            + ("s" if self.attempts != 1 else "")
+        )
 
 
 def _submit(pool: ProcessPoolExecutor, unit: _Unit):
@@ -367,12 +368,7 @@ def _run_pooled(requests: list[RunRequest], jobs: int, outcomes: dict,
         request_units = [unit for unit in units if unit.request == request]
         failed = [unit for unit in request_units if unit.error is not None]
         if failed:
-            failures[request] = "; ".join(
-                (f"shard {unit.shard}: " if unit.shard is not None else "")
-                + f"{unit.error} after {unit.attempts} attempt"
-                + ("s" if unit.attempts != 1 else "")
-                for unit in failed
-            )
+            failures[request] = "; ".join(unit.failure_summary() for unit in failed)
             continue
         if request_units[0].shard is None:
             dicts, wall = request_units[0].payload
@@ -387,7 +383,8 @@ def _run_pooled(requests: list[RunRequest], jobs: int, outcomes: dict,
                 busy += wall
                 shard_seconds.record(wall)
             metrics.unit_seconds.merge(shard_seconds)
-            outcomes[request] = _finish(request, _spec_for(request), results, busy)
+            reports = _spec_for(request).merge(request.generation, request.profile, results)
+            outcomes[request] = (reports, busy)
 
 
 def run_sweep(
@@ -479,8 +476,8 @@ def run_sweep(
     for request in pending:
         if request in outcomes or request in failures:
             continue  # jobs=1, or the pool died under us: run in-process
-        attempts = 0
-        while True:
+        unit = _Unit(request, None)
+        while unit.active:
             try:
                 first_sampler = _sampler_mark()
                 dicts, wall = _execute(request)
@@ -489,20 +486,12 @@ def run_sweep(
                 finalize(request, reports, wall)
                 # Post-finalize, so the cache keeps the untraced form.
                 _attach_timeseries(reports, first_sampler)
-                break
+                unit.done = True
             except Exception as error:
-                attempts += 1
-                if attempts > max_retries:
-                    reason = f"{type(error).__name__}: {error}"
-                    metrics.failed_shards.append({
-                        "experiment": request.experiment, "shard": None,
-                        "attempts": attempts, "reason": reason,
-                    })
-                    finalize_failed(request, f"{reason} after {attempts} attempt"
-                                    + ("s" if attempts != 1 else ""))
-                    break
-                metrics.retries += 1
-                time.sleep(backoff * (2 ** (attempts - 1)))
+                _fail(unit, f"{type(error).__name__}: {error}",
+                      metrics, max_retries, backoff)
+        if unit.error is not None:
+            finalize_failed(request, unit.failure_summary())
 
     session = _active_trace_session()
     if session is not None and session.samplers:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.common.units import kib
 from repro.validate.predicates import (
+    PredicateResult,
     all_of,
     knee_between,
     monotone_decay,
@@ -21,9 +22,27 @@ from repro.validate.predicates import (
     plateau,
     within,
 )
-from repro.validate.spec import Claim, on_pair, on_series
+from repro.validate.spec import Claim, ReportSet, on_pair, on_reports, on_series
 
 _CITE = "Fig. 4, S3.2"
+
+
+def _no_cliff(reports: ReportSet) -> PredicateResult:
+    """Both curves non-increasing (within 0.05) with no step below -0.5."""
+    decay = monotone_decay(tol=0.05)
+    worst = 0.0
+    for name in ("G1 Optane", "G2 Optane"):
+        curve = reports.curve(name)
+        result = decay(curve)
+        if not result.passed:
+            return PredicateResult(False, f"{name}: {result.measured}", result.expected)
+        worst = max(worst, max(a - b for a, b in zip(curve.y, curve.y[1:])))
+    return PredicateResult(
+        worst < 0.5,
+        f"largest drop between adjacent points {worst:.3f}",
+        "non-increasing (tol 0.05) and every adjacent drop < 0.5 on G1 and G2",
+    )
+
 
 CLAIMS = (
     Claim(
@@ -80,6 +99,23 @@ CLAIMS = (
                 monotone_decay(x_min=kib(16), tol=0.02, min_drop=0.25),
                 within(0.35, 0.8, at_x=kib(32)),
             ),
+        ),
+    ),
+    Claim(
+        id="E4/no-cliff",
+        experiment="fig4", generation=1,
+        claim="neither generation's hit ratio ever drops by a cliff or recovers",
+        citation=_CITE,
+        check=on_reports(_no_cliff),
+    ),
+    Claim(
+        id="E4/g2-holds-past-g1-knee",
+        experiment="fig4", generation=1,
+        claim="at 16 KB G2 still absorbs every write while G1 already misses",
+        citation=_CITE,
+        check=on_pair(
+            "G2 Optane", "G1 Optane",
+            ordering(margin=0.1, higher_is_better=True, x_min=kib(16), x_max=kib(16)),
         ),
     ),
     Claim(

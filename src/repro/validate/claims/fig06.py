@@ -10,8 +10,9 @@ and iMC together.
 
 from __future__ import annotations
 
-from repro.common.units import mib
+from repro.common.units import kib, mib
 from repro.validate.predicates import (
+    PredicateResult,
     all_of,
     monotone_rise,
     ordering,
@@ -19,7 +20,7 @@ from repro.validate.predicates import (
     ratio_approx,
     within,
 )
-from repro.validate.spec import Claim, on_pair, on_series
+from repro.validate.spec import Claim, ReportSet, on_pair, on_series
 
 _CITE = "Fig. 6, S4.1"
 
@@ -28,8 +29,6 @@ _BIG = mib(64)
 
 def _no_prefetch_flat(gen: int):
     """Both ratios pinned at 1.0 with prefetching off."""
-    from repro.validate.predicates import PredicateResult
-    from repro.validate.spec import ReportSet
 
     def check(reports: ReportSet) -> PredicateResult:
         flat = plateau(1.0, 0.01)
@@ -41,6 +40,31 @@ def _no_prefetch_flat(gen: int):
                                "ratio 1.0 at every WSS with prefetching off")
 
     return check
+
+
+def _dcu_overfetch(gen: int):
+    """DCU streamer: ~2x PM reads past the caches, none while in-buffer."""
+
+    def check(reports: ReportSet) -> PredicateResult:
+        pm = reports.curve(f"PM (G{gen})", report="-DCU")
+        big, small = pm.y_at(_BIG), pm.y_at(kib(4))
+        gap = big - reports.curve(f"iMC (G{gen})", report="-DCU").y_at(_BIG)
+        return PredicateResult(
+            1.75 <= big <= 2.05 and gap >= 0.5 and small <= 1.05,
+            f"PM {big:.3f} at 64 MB ({gap:+.3f} over iMC), {small:.3f} at 4 KB",
+            "PM in [1.75, 2.05] and >= iMC + 0.5 at 64 MB; PM <= 1.05 at 4 KB",
+        )
+
+    return check
+
+
+def _hardware_mildest(gen: int):
+    """The L2 streamer overfetches less than the DCU streamer past 1 MB."""
+    return on_pair(
+        f"PM (G{gen})", f"PM (G{gen})",
+        ordering(margin=0.1, x_min=mib(1)),
+        report="-hardware", reference_report="-DCU",
+    )
 
 
 CLAIMS = (
@@ -97,6 +121,21 @@ CLAIMS = (
         check=on_series("iMC (G1)", within(0.95, 1.35), report="-DCU"),
     ),
     Claim(
+        id="E2/dcu-pm-overfetch",
+        experiment="fig6", generation=1,
+        claim="DCU streamer: PM reads ~2x past the caches, ~1x while the "
+              "working set fits the read buffer",
+        citation=_CITE,
+        check=_dcu_overfetch(1),
+    ),
+    Claim(
+        id="E2/hardware-mildest",
+        experiment="fig6", generation=1,
+        claim="the L2 hardware streamer wastes less PM bandwidth than the DCU streamer",
+        citation=_CITE,
+        check=_hardware_mildest(1),
+    ),
+    Claim(
         id="E2/hardware-tracks-imc",
         experiment="fig6", generation=1,
         claim="the L2 streamer inflates PM and iMC together (ratio 1:1)",
@@ -122,5 +161,19 @@ CLAIMS = (
         check=on_series(
             "PM (G2)", within(1.75, 2.05, at_x=_BIG), report="-adjacent"
         ),
+    ),
+    Claim(
+        id="E2/dcu-pm-overfetch-g2",
+        experiment="fig6", generation=2,
+        claim="the DCU streamer's ~2x PM overfetch carries over to G2",
+        citation=_CITE,
+        check=_dcu_overfetch(2),
+    ),
+    Claim(
+        id="E2/hardware-mildest-g2",
+        experiment="fig6", generation=2,
+        claim="on G2 too the L2 streamer wastes less than the DCU streamer",
+        citation=_CITE,
+        check=_hardware_mildest(2),
     ),
 )

@@ -14,7 +14,9 @@ from __future__ import annotations
 from repro.common.units import kib, mib
 from repro.validate.predicates import (
     PredicateResult,
+    all_of,
     flat_wrt_wss,
+    ordering,
     ratio_approx,
     span_ratio,
     within,
@@ -60,12 +62,45 @@ CLAIMS = (
         check=on_series("rand_clwb", span_ratio(kib(4), _BIG, 3.5, 6.0), report="fig8a"),
     ),
     Claim(
+        id="E6/three-levels",
+        experiment="fig8", generation=1,
+        claim="random strict writes show three levels: in-cache, on-DIMM "
+              "buffer plateau (256 KB), media (64 MB)",
+        citation=_CITE,
+        check=on_series(
+            "rand_clwb",
+            all_of(
+                span_ratio(kib(4), kib(256), 1.02, 1.5),
+                span_ratio(kib(256), _BIG, 3.0, 6.0),
+            ),
+            report="fig8a",
+        ),
+    ),
+    Claim(
         id="E6/relaxed-helps-small",
         experiment="fig8", generation=1,
         claim="relaxed persistency is >3x cheaper while data fits the caches",
         citation=_CITE,
         check=on_reports(
             _cross_report_ratio("seq_clwb", "fig8b", "fig8a", kib(4), 0.1, 0.35)
+        ),
+    ),
+    Claim(
+        id="E6/relaxed-helps-small-rand",
+        experiment="fig8", generation=1,
+        claim="relaxed persistency is >3x cheaper for random chains in-cache too",
+        citation=_CITE,
+        check=on_reports(
+            _cross_report_ratio("rand_clwb", "fig8b", "fig8a", kib(4), 0.1, 0.35)
+        ),
+    ),
+    Claim(
+        id="E6/relaxed-converges-plateau",
+        experiment="fig8", generation=1,
+        claim="at the 256 KB plateau relaxed random chains cost within 30% of strict",
+        citation=_CITE,
+        check=on_reports(
+            _cross_report_ratio("rand_clwb", "fig8b", "fig8a", kib(256), 0.7, 1.0)
         ),
     ),
     Claim(
@@ -83,6 +118,24 @@ CLAIMS = (
         claim="pure random writes cost the same at every WSS (buffer absorbs them)",
         citation=_CITE,
         check=on_series("rand_wr", flat_wrt_wss(0.05), report="fig8c"),
+    ),
+    Claim(
+        id="E6/seq-writes-flat",
+        experiment="fig8", generation=1,
+        claim="pure sequential writes stay flat across WSS as well",
+        citation=_CITE,
+        check=on_series("seq_wr", flat_wrt_wss(0.1), report="fig8c"),
+    ),
+    Claim(
+        id="E6/reads-outweigh-writes",
+        experiment="fig8", generation=1,
+        claim="beyond the caches a random read costs >2x a random write",
+        citation=_CITE,
+        check=on_pair(
+            "rand_rd", "rand_wr",
+            ordering(margin=1.0, higher_is_better=True, x_min=_BIG),
+            report="fig8c",
+        ),
     ),
     Claim(
         id="E6/reads-dominate-beyond-caches",

@@ -12,14 +12,37 @@ paper's ~12 — the simulator's port model saturates the DIMM earlier.
 
 from __future__ import annotations
 
-from repro.validate.predicates import crossover_at, ratio_approx
-from repro.validate.spec import Claim, on_pair
+from repro.validate.predicates import PredicateResult, crossover_at, ratio_approx
+from repro.validate.spec import Claim, ReportSet, on_pair, on_reports
 
 _CITE = "Fig. 14, S4.3"
 
 _DEVIATION = "crossover at ~4 threads vs the paper's ~12 (earlier saturation)"
 
+
+def _keeps_scaling(reports: ReportSet) -> PredicateResult:
+    """Optimized throughput at the most threads vs baseline at 4 threads."""
+    optimized = reports.curve("tput optimized").y[-1]
+    baseline = reports.curve("tput baseline").y_at(4)
+    ratio = optimized / baseline
+    return PredicateResult(
+        ratio >= 2.0,
+        f"{optimized:.3f} GB/s at the most threads vs baseline {baseline:.3f} "
+        f"at 4 = {ratio:.2f}x",
+        "optimized tput at the most threads >= 2x baseline tput at 4 threads",
+    )
+
+
 CLAIMS = (
+    Claim(
+        id="E9B/single-thread-cost",
+        experiment="fig14", generation=1,
+        claim="single-threaded, the extra copy makes redirection ~20% slower",
+        citation=_CITE,
+        check=on_pair(
+            "latency optimized", "latency baseline", ratio_approx(1.2, 0.1, at_x=1)
+        ),
+    ),
     Claim(
         id="E9B/latency-crossover",
         experiment="fig14", generation=1,
@@ -50,6 +73,14 @@ CLAIMS = (
             "latency optimized", "latency baseline",
             ratio_approx(0.42, 0.15, at_x=16),
         ),
+    ),
+    Claim(
+        id="E9B/optimized-keeps-scaling",
+        experiment="fig14", generation=1,
+        claim="baseline throughput saturates by 4 threads while the optimized "
+              "layout keeps scaling past it",
+        citation=_CITE,
+        check=on_reports(_keeps_scaling),
     ),
     Claim(
         id="E9B/latency-crossover-g2",

@@ -21,23 +21,33 @@ def _separation(reports: ReportSet) -> PredicateResult:
     interleaved = reports.value("value", "interleaved RA")
     baseline = reports.value("value", "baseline RA")
     media = reports.value("value", "interleaved media writes (B)")
-    ok = abs(interleaved - 1.0) <= 0.01 and abs(interleaved - baseline) <= 0.01 and media == 0
+    baseline_media = reports.value("value", "baseline media writes (B)")
+    ok = (abs(interleaved - 1.0) <= 0.01 and abs(interleaved - baseline) <= 0.01
+          and media == 0 and baseline_media == 0)
     return PredicateResult(
         ok,
         f"interleaved RA {interleaved:.3f} vs baseline {baseline:.3f}, "
-        f"{media:.0f} B media writes",
-        "interleaved RA == baseline RA == 1 and zero media writes",
+        f"{media:.0f} B vs {baseline_media:.0f} B media writes",
+        "interleaved RA == baseline RA == 1 and zero media writes in both",
     )
 
 
-def _media_ratio(reports: ReportSet) -> PredicateResult:
+def _media_ratio(row: str):
     """Quarter-line writes cost a quarter of iMC traffic at the media."""
-    ratio = reports.value("value", "transition media/iMC traffic")
-    return PredicateResult(
-        0.05 <= ratio <= 0.35,
-        f"media/iMC = {ratio:.3f}",
-        "media/iMC traffic in [0.05, 0.35] (0.25 ideal; 0.5 = RMW per write)",
-    )
+
+    def check(reports: ReportSet) -> PredicateResult:
+        ratio = reports.value("value", row)
+        return PredicateResult(
+            0.05 <= ratio <= 0.35,
+            f"{row} = {ratio:.3f}",
+            f"{row} in [0.05, 0.35] (0.25 ideal; 0.5 = RMW per write)",
+        )
+
+    return check
+
+
+_READ_FIRST = _media_ratio("transition media/iMC traffic")
+_WRITE_FIRST = _media_ratio("write-first media/iMC traffic")
 
 
 def _rmw_avoided(reports: ReportSet) -> PredicateResult:
@@ -65,7 +75,7 @@ CLAIMS = (
         claim="transitions keep media traffic at ~1/4 of iMC traffic for "
               "quarter-line writes",
         citation=_CITE,
-        check=on_reports(_media_ratio),
+        check=on_reports(_READ_FIRST),
     ),
     Claim(
         id="S33/rmw-avoided",
@@ -75,10 +85,38 @@ CLAIMS = (
         check=on_reports(_rmw_avoided),
     ),
     Claim(
+        id="S33/write-first-media-below-imc",
+        experiment="sec33", generation=1,
+        claim="written-then-read XPLines are served from the buffers too",
+        citation=_CITE,
+        check=on_reports(_WRITE_FIRST),
+    ),
+    Claim(
         id="S33/separation-g2",
         experiment="sec33", generation=2,
         claim="buffer separation holds on G2 as well",
         citation=_CITE,
         check=on_reports(_separation),
+    ),
+    Claim(
+        id="S33/media-below-imc-g2",
+        experiment="sec33", generation=2,
+        claim="G2 transitions keep media traffic at ~1/4 of iMC traffic",
+        citation=_CITE,
+        check=on_reports(_READ_FIRST),
+    ),
+    Claim(
+        id="S33/rmw-avoided-g2",
+        experiment="sec33", generation=2,
+        claim="G2 writes to read-buffered XPLines transition without an RMW",
+        citation=_CITE,
+        check=on_reports(_rmw_avoided),
+    ),
+    Claim(
+        id="S33/write-first-media-below-imc-g2",
+        experiment="sec33", generation=2,
+        claim="G2 serves written-then-read XPLines from the buffers too",
+        citation=_CITE,
+        check=on_reports(_WRITE_FIRST),
     ),
 )

@@ -62,9 +62,11 @@ MUTATIONS: dict[str, Mutation] = {
             "shrink the write-combining buffer to a single XPLine",
             {"optane": {"write_buffer_bytes": XPLINE_SIZE}},
             # Kills absorption and both generations' capacity knees and
-            # decay shapes (fig4's report carries the G2 series too).
+            # decay shapes (fig4's report carries the G2 series too), and
+            # with them G2's lead over G1 at 16 KB.
             ("E3/absorbed-below-capacity", "E3/knee-g1", "E3/partial-wa-rises",
-             "E4/full-hit-*", "E4/knee-*", "E4/graceful-decay*"),
+             "E4/full-hit-*", "E4/knee-*", "E4/graceful-decay*",
+             "E4/g2-holds-past-g1-knee"),
         ),
         Mutation(
             "write_buffer_eviction", "fifo",

@@ -102,6 +102,32 @@ class TestInterleaveWorkers:
     def test_empty_workers(self):
         assert interleave_workers([]) == 0.0
 
+    def test_causal_order(self):
+        # Steps are dispatched in non-decreasing start time: a worker
+        # whose local clock is behind always runs first, and on a tie the
+        # lower worker index goes first.
+        class Worker:
+            now = 0.0
+
+        starts = []
+
+        def stream(worker, index, steps, stride):
+            for _ in range(steps):
+                def task():
+                    starts.append((worker.now, index))
+                    worker.now += stride
+                yield task
+
+        workers = [Worker() for _ in range(3)]
+        makespan = interleave_workers([
+            (workers[0], stream(workers[0], 0, 6, 2)),
+            (workers[1], stream(workers[1], 1, 3, 4)),
+            (workers[2], stream(workers[2], 2, 2, 100)),
+        ])
+        assert len(starts) == 11
+        assert starts == sorted(starts)
+        assert makespan == 200
+
 
 class TestPresets:
     def test_machine_for_dispatch(self):

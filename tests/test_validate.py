@@ -14,6 +14,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.units import kib
 from repro.experiments.common import ExperimentReport
+from repro.runner import RunRequest, run_sweep
 from repro.runner.registry import REGISTRY
 from repro.validate import (
     Claim,
@@ -230,6 +231,14 @@ class TestClaimRegistry:
             assert claim.citation
             assert claim.claim
 
+    def test_every_experiment_has_a_claim(self):
+        # The oracle is the only place paper shapes are checked, so an
+        # experiment without a claim would go entirely unchecked.
+        claimed = {claim.experiment for claim in all_claims()}
+        unchecked = [name for name in REGISTRY
+                     if not name.startswith("crash-") and name not in claimed]
+        assert unchecked == []
+
     def test_both_generations_covered(self):
         generations = {c.generation for c in all_claims()}
         assert generations == {1, 2}
@@ -353,6 +362,49 @@ class TestLiveValidation:
         assert fidelity.mutation == "transition=off"
         assert fidelity.ok(), fidelity.render()
         assert {v.claim_id for v in fidelity.failed} == set(fidelity.expected_failures)
+
+    @pytest.mark.slow
+    def test_fig2_fig3_bounds_without_claims(self):
+        """Figure 2/3 bounds that no registered claim checks as strictly.
+
+        They are not claims yet because the ``validate-cheap`` workload
+        of ``perfbench`` compares every fig2/fig3 claim verdict bit for
+        bit with ``perfbench/golden/validate-cheap.full.json``: a new
+        fig2/fig3 claim changes that set, so these bounds move into
+        ``claims/fig02.py``/``fig03.py`` together with a regenerated
+        golden file.
+        """
+        requests = [RunRequest.make(name, generation=generation)
+                    for name in ("fig2", "fig3") for generation in (1, 2)]
+        results, _ = run_sweep(requests, jobs=1, cache=None)
+        curves = {(r.request.experiment, r.request.generation): ReportSet(r.reports)
+                  for r in results}
+
+        def at(experiment, generation, series, x):
+            return curves[(experiment, generation)].curve(series).y_at(x)
+
+        def ra(cpx):
+            return f"read {cpx} cacheline" + ("s" if cpx > 1 else "")
+
+        # Fig. 2: every CpX reaches RA ~= 4 once the read buffer spills,
+        # G2 holds RA = 4/CpX below its 22 KB buffer, and RA >= 0.99.
+        for cpx in (2, 3):
+            assert at("fig2", 1, ra(cpx), kib(32)) == pytest.approx(4.0, rel=0.05)
+        for cpx in (1, 2):
+            assert at("fig2", 2, ra(cpx), kib(18)) == pytest.approx(4.0 / cpx, rel=0.1)
+        for cpx in (1, 2, 3, 4):
+            assert at("fig2", 2, ra(cpx), kib(32)) == pytest.approx(4.0, rel=0.05)
+            assert min(curves[("fig2", 2)].curve(ra(cpx)).y) >= 0.99
+
+        # Fig. 3: partial writes fully absorbed at 8 KB on G1, full lines
+        # written back (WA > 0.8) there, and the 32 KB partial-write bounds.
+        for series in ("25% write", "50% write", "75% write"):
+            assert at("fig3", 1, series, kib(8)) == 0.0
+        assert at("fig3", 1, "100% write", kib(8)) > 0.8
+        assert at("fig3", 1, "25% write", kib(32)) <= 4.0 + 1e-9
+        assert at("fig3", 2, "25% write", kib(32)) > 2.5
+        assert at("fig3", 2, "50% write", kib(32)) > 1.3
+        assert at("fig3", 2, "25% write", kib(32)) <= 4.0 + 1e-9
 
     @pytest.mark.campaign
     def test_full_fast_profile_validation(self):
